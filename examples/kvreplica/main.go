@@ -1,7 +1,9 @@
 // kvreplica: replicated reads against two live memkv servers over real
 // TCP, reproducing the paper's storage-service scenario (§2.2) in
 // miniature: one replica suffers latency spikes; the replicated client's
-// tail latency tracks the healthy replica.
+// tail latency tracks the healthy replica. The replicated client is a
+// ShardedClient whose replication equals its shard count, so every key
+// lives on both servers and every read races both copies.
 //
 // Run with: go run ./examples/kvreplica
 package main
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"redundancy"
@@ -20,10 +23,16 @@ import (
 func main() {
 	// Two in-process servers: replica A degrades with occasional 50 ms
 	// stalls (a disk hiccup, a GC pause); replica B is healthy.
+	// The hook runs on every connection's serve loop, so the shared rng
+	// is locked.
+	var mu sync.Mutex
 	r := rand.New(rand.NewSource(1))
 	srvA := memkv.NewServer(nil)
 	srvA.Delay = func() time.Duration {
-		if r.Float64() < 0.15 {
+		mu.Lock()
+		stall := r.Float64() < 0.15
+		mu.Unlock()
+		if stall {
 			return 50 * time.Millisecond
 		}
 		return time.Millisecond
@@ -42,19 +51,17 @@ func main() {
 	}
 	defer srvB.Close()
 
-	clA := memkv.NewClient(addrA.String(), time.Second)
-	clB := memkv.NewClient(addrB.String(), time.Second)
-
-	ctx := context.Background()
-	counters := redundancy.NewCounters()
-
-	single := memkv.NewReplicatedClient(redundancy.Policy{Copies: 1}, clA)
-	both := memkv.NewReplicatedClient(redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom}, clA, clB)
+	clA := memkv.NewMuxClient(addrA.String(), time.Second)
+	clB := memkv.NewMuxClient(addrB.String(), time.Second)
+	both := memkv.NewShardedClient(memkv.ShardedConfig{
+		Replication:  2, // = shard count: every key on both servers
+		ReadStrategy: redundancy.Policy{Copies: 2}.Strategy(),
+	}, clA, clB)
 	defer both.Close()
-	_ = counters
+	ctx := context.Background()
 
-	// Store a value everywhere.
-	if err := both.Set(ctx, "user:42", []byte(`{"name":"ada"}`)); err != nil {
+	// Store a value everywhere (a versioned write acked by both copies).
+	if _, err := both.PutVersioned(ctx, "user:42", []byte(`{"name":"ada"}`), 0); err != nil {
 		panic(err)
 	}
 
@@ -82,7 +89,7 @@ func main() {
 
 	fmt.Println("reading user:42 200 times through each client:")
 	measure("replica A only", func() error {
-		_, err := single.Get(ctx, "user:42")
+		_, err := clA.Get(ctx, "user:42")
 		return err
 	})
 	measure("replicated (A + B)", func() error {
@@ -97,13 +104,13 @@ func main() {
 	// estimates, then decommission the degraded replica without building
 	// a new client.
 	fmt.Println("\nper-replica latency estimates (EWMA of successful reads):")
-	for _, r := range both.GroupStats().Replicas {
+	for _, r := range both.RingStats().Members {
 		fmt.Printf("  %-22s %-10v (%d observations)\n",
 			r.Name, r.EstimatedLatency.Round(100*time.Microsecond), r.Observations)
 	}
 
 	fmt.Println("\ndecommissioning the degraded replica A:")
-	both.RemoveReplica(addrA.String())
+	both.RemoveShard(addrA.String())
 	measure("replicated (B only)", func() error {
 		_, err := both.Get(ctx, "user:42")
 		return err

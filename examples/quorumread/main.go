@@ -1,6 +1,7 @@
 // quorumread: the consistency knob of the unified call API against three
 // live memkv servers over real TCP. Every read goes through the same
-// ReplicatedClient; what changes per call is only an option:
+// ShardedClient, whose replication equals its shard count so every key
+// lives on all three servers; what changes per call is only an option:
 //
 //   - the default Get is first-response-wins (lowest latency, one
 //     replica's word),
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"redundancy"
@@ -35,13 +37,17 @@ func main() {
 	// is built for. At 4%, one-of-three and two-of-three reads almost
 	// never meet a stall at the p99, while three-of-three almost always
 	// does: the quorum's consistency premium is small as long as spare
-	// replicas remain.
+	// replicas remain. The hooks run on every connection's serve loop,
+	// so the shared rng is locked.
+	var mu sync.Mutex
 	r := rand.New(rand.NewSource(7))
 	servers := make([]*memkv.Server, 3)
-	clients := make([]*memkv.Client, 3)
+	clients := make([]memkv.Backend, 3)
 	for i := range servers {
 		srv := memkv.NewServer(nil)
 		srv.Delay = func() time.Duration {
+			mu.Lock()
+			defer mu.Unlock()
 			if r.Float64() < 0.04 {
 				return 40 * time.Millisecond
 			}
@@ -53,16 +59,17 @@ func main() {
 		}
 		defer srv.Close()
 		servers[i] = srv
-		clients[i] = memkv.NewClient(addr.String(), time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), time.Second)
 	}
 
-	rc := memkv.NewReplicatedClient(
-		redundancy.Policy{Copies: 3, Selection: redundancy.SelectRandom},
-		clients...)
+	rc := memkv.NewShardedClient(memkv.ShardedConfig{
+		Replication:  3,
+		ReadStrategy: redundancy.Policy{Copies: 3}.Strategy(),
+	}, clients...)
 	defer rc.Close()
 	ctx := context.Background()
 
-	if err := rc.Set(ctx, "user:42", []byte(`{"name":"ada"}`)); err != nil {
+	if _, err := rc.PutVersioned(ctx, "user:42", []byte(`{"name":"ada"}`), 0); err != nil {
 		panic(err)
 	}
 

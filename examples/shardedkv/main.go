@@ -1,8 +1,9 @@
 // shardedkv: the paper's §2.2 storage scheme in the live stack — a
-// keyspace partitioned across six real memkv shards over TCP via a
-// consistent-hash ring, every key stored on a primary plus two
-// successors, reads issued redundantly to primary+secondary with the
-// first response winning, and writes acked by a 2-of-3 quorum.
+// keyspace partitioned across six real memkv shards over TCP (v2
+// multiplexed clients) via a consistent-hash ring, every key stored on
+// a primary plus two successors, reads issued redundantly to
+// primary+secondary with the first response winning, and versioned
+// writes acked by a 2-of-3 quorum.
 //
 // Three acts:
 //
@@ -52,7 +53,7 @@ func main() {
 		defer srv.Close()
 		servers[addr.String()] = srv
 		stalled[addr.String()] = flag
-		clients[i] = memkv.NewClient(addr.String(), 2*time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), 2*time.Second)
 	}
 
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{
@@ -67,7 +68,7 @@ func main() {
 	// Partition 240 keys across the ring.
 	for i := 0; i < 240; i++ {
 		key := fmt.Sprintf("user:%d", i)
-		if err := sc.Set(ctx, key, []byte(fmt.Sprintf(`{"id":%d}`, i))); err != nil {
+		if _, err := sc.PutVersioned(ctx, key, []byte(fmt.Sprintf(`{"id":%d}`, i)), 0); err != nil {
 			panic(err)
 		}
 	}
@@ -78,19 +79,10 @@ func main() {
 	}
 
 	// --- Act 1: redundant read vs a stalled primary. ---
-	// A 2-of-3 quorum put cancels the slowest placement write, so not
-	// every primary holds its keys (a redundant read never notices: its
-	// 2 copies always intersect the 2 write winners, since 2+2 > 3). The
-	// fan-out-1 comparison below needs a key whose primary does hold the
-	// value, so probe for one.
-	var key string
-	for i := 0; i < 240; i++ {
-		k := fmt.Sprintf("user:%d", i)
-		if _, err := sc.Get(ctx, k, redundancy.WithFanoutCap(1)); err == nil {
-			key = k
-			break
-		}
-	}
+	// A 2-of-3 quorum put returns at two acks, but its third copy keeps
+	// running in the background, so by now every owner of the first key
+	// holds it and the fan-out-1 read below finds it at the primary.
+	key := "user:0"
 	primary := sc.Owners(key)[0]
 	stalled[primary].Store(true)
 	t0 := time.Now()
@@ -112,7 +104,7 @@ func main() {
 	key = "user:11"
 	dead := sc.Owners(key)[0]
 	servers[dead].Close()
-	if err := sc.Set(ctx, key, []byte(`{"id":11,"v":2}`)); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte(`{"id":11,"v":2}`), 0); err != nil {
 		panic(err)
 	}
 	v, err := sc.Get(ctx, key)
@@ -123,14 +115,14 @@ func main() {
 	fmt.Printf("  2-of-3 quorum put: ok; redundant get: %s\n", v)
 
 	// --- Act 3: topology change remaps keys live. ---
-	before := sc.Owners("user:3")
+	before := sc.Owners(key)
 	sc.RemoveShard(dead)
-	after := sc.Owners("user:3")
+	after := sc.Owners(key)
 	fmt.Printf("\ndead shard removed from the ring (%d shards remain):\n", len(sc.RingStats().Members))
-	fmt.Printf("  owners of %q: %v -> %v\n", "user:3", before, after)
-	if v, err := sc.Get(ctx, "user:3"); err == nil {
-		fmt.Printf("  get %q after remap: %s\n", "user:3", v)
-	} else {
+	fmt.Printf("  owners of %q: %v -> %v\n", key, before, after)
+	v, err = sc.Get(ctx, key)
+	if err != nil {
 		panic(err)
 	}
+	fmt.Printf("  get %q after remap: %s\n", key, v)
 }

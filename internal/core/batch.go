@@ -368,14 +368,13 @@ func (g *KeyedGroup[K, T]) doBatch(ctx context.Context, args []K, p *callPlan[T]
 }
 
 // scheduleInto resolves one call's (or batch's) launch schedule into
-// buf: the Fixed fast path, the strategy's ScheduleInto (or legacy
-// Schedule, normalized) over the picked digests, and the quorum rule
-// that the first q copies always launch immediately. buf must have
-// length len(picked) or be nil, in which case a buffer is allocated
-// only if a schedule actually materializes. The returned schedule is
-// always backed by the (caller-owned) buffer — never strategy-owned
-// memory — so the quorum zeroing mutates in place without cloning. nil
-// means launch every copy at once.
+// buf: the Fixed fast path, the strategy's ScheduleInto over the picked
+// digests, and the quorum rule that the first q copies always launch
+// immediately. buf must have length len(picked) or be nil, in which
+// case a buffer is allocated only if a schedule actually materializes.
+// The returned schedule is always backed by the (caller-owned) buffer —
+// never strategy-owned memory — so the quorum zeroing mutates in place
+// without cloning. nil means launch every copy at once.
 func (g *KeyedGroup[K, T]) scheduleInto(p *callPlan[T], picked []Handle[K, T], q int, buf []time.Duration) []time.Duration {
 	copies := len(picked)
 	if copies <= 1 {

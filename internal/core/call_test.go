@@ -355,8 +355,9 @@ type scheduleStrategy struct {
 }
 
 func (s scheduleStrategy) Fanout() (int, Selection) { return s.copies, SelectRanked }
-func (s scheduleStrategy) Schedule(Digests) []time.Duration {
-	return append([]time.Duration(nil), s.sched...)
+func (s scheduleStrategy) ScheduleInto(_ Digests, dst []time.Duration) []time.Duration {
+	copy(dst, s.sched)
+	return dst
 }
 func (s scheduleStrategy) String() string { return "test-schedule" }
 

@@ -17,74 +17,47 @@ import (
 // group's copy-on-write snapshot (SetStrategy), so every operation sees
 // one consistent (strategy, membership) pair. Implementations must be
 // immutable after installation and safe for concurrent use: Fanout and
-// Schedule are called on the lock-free Do hot path.
+// ScheduleInto are called on the lock-free Do hot path.
 type Strategy interface {
 	// Fanout returns the maximum number of copies per operation (values
 	// below 1 are treated as 1; values above the group size are clamped)
 	// and the selection method that picks them.
 	Fanout() (copies int, sel Selection)
 
-	// Schedule computes the launch schedule for one operation over the
-	// selected replicas, whose latency digests are exposed in launch
-	// order. It returns nil to launch every copy immediately, or a slice
-	// of per-copy delays where delays[i] is the wait after copy i-1's
-	// launch before copy i launches (delays[0] is ignored; the first copy
-	// always starts immediately). A schedule of the wrong length is
-	// padded with its last entry or truncated.
+	// ScheduleInto computes the launch schedule for one operation over
+	// the selected replicas, whose latency digests are exposed in launch
+	// order, writing it into dst (length d.Len(), the caller's scratch —
+	// the call frame's inline array, so the hot path allocates nothing).
+	// dst[i] is the wait after copy i-1's launch before copy i launches
+	// (dst[0] is ignored; the first copy always starts immediately).
 	//
-	// nil versus empty: a nil return is the explicit "no schedule —
-	// launch all copies at once" contract (FullReplicate returns it
-	// unconditionally), and an EMPTY non-nil slice is normalized to mean
-	// exactly the same thing. An implementation cannot accidentally
-	// serialize its copies by returning a zero-length scratch slice: the
-	// engine never indexes a schedule shorter than the fan-out.
-	//
-	// Implementations that also satisfy InlineScheduler skip this method
-	// on the hot path.
-	Schedule(d Digests) []time.Duration
+	// Return nil (or an empty slice) to launch every copy immediately —
+	// FullReplicate does so unconditionally — otherwise fill dst and
+	// return it. The caller owns dst and will mutate it (quorum zeroing),
+	// so implementations must not retain it. A schedule returned in other
+	// memory is copied into dst, padded with its last entry or truncated
+	// to d.Len().
+	ScheduleInto(d Digests, dst []time.Duration) []time.Duration
 
 	// String describes the strategy; GroupStats carries it so Stats()
 	// output is self-describing.
 	String() string
 }
 
-// InlineScheduler is an optional Strategy extension for the
-// allocation-free hot path: ScheduleInto computes the same launch
-// schedule as Schedule but writes it into dst, the caller's scratch
-// (the call frame's inline array), instead of allocating a fresh slice
-// per operation.
-//
-// Contract: dst has length d.Len(). Return nil to launch every copy
-// immediately (Schedule's nil contract), otherwise fill dst and return
-// it. The caller owns dst and will mutate it (quorum zeroing), so
-// implementations must not retain it or return strategy-owned memory —
-// a foreign return is defensively copied into dst.
-//
-// Strategies that do not implement InlineScheduler keep working: the
-// engine falls back to Schedule and normalizes the result into dst.
-// All built-in strategies implement it.
-type InlineScheduler interface {
-	ScheduleInto(d Digests, dst []time.Duration) []time.Duration
-}
-
 // strategyScheduleInto resolves a strategy's schedule into buf (length
-// = d.Len()): the InlineScheduler fast path when available, otherwise
-// the legacy Schedule normalized into buf. The result is always
-// buf-backed (or nil), so callers may mutate it freely.
+// = d.Len()). The result is always buf-backed (or nil), so callers may
+// mutate it freely even when the strategy returned its own memory.
 func strategyScheduleInto(s Strategy, d Digests, buf []time.Duration) []time.Duration {
-	if is, ok := s.(InlineScheduler); ok {
-		out := is.ScheduleInto(d, buf)
-		if len(out) == 0 {
-			return nil
-		}
-		if len(out) == len(buf) && &out[0] == &buf[0] {
-			return out
-		}
-		// The implementation returned its own memory; bring the schedule
-		// into the caller-owned buffer.
-		return normalizeInto(out, buf)
+	out := s.ScheduleInto(d, buf)
+	if len(out) == 0 {
+		return nil
 	}
-	return normalizeInto(s.Schedule(d), buf)
+	if len(out) == len(buf) && &out[0] == &buf[0] {
+		return out
+	}
+	// The implementation returned its own memory; bring the schedule
+	// into the caller-owned buffer.
+	return normalizeInto(out, buf)
 }
 
 // normalizeInto copies a schedule into buf, truncating or padding with
@@ -104,14 +77,14 @@ func normalizeInto(delays []time.Duration, buf []time.Duration) []time.Duration 
 }
 
 // Digests is a read-only view over the selected replicas' latency
-// digests, in launch order, passed to Strategy.Schedule.
+// digests, in launch order, passed to Strategy.ScheduleInto.
 type Digests interface {
 	Len() int
 	At(i int) *LatDigest
 }
 
 // DigestList is a ready-made Digests over a slice, for testing custom
-// strategies and for callers driving Schedule directly.
+// strategies and for callers driving ScheduleInto directly.
 type DigestList []*LatDigest
 
 // Len implements Digests.
@@ -144,15 +117,7 @@ func (f Fixed) Fanout() (int, Selection) {
 	return k, f.Selection
 }
 
-// Schedule implements Strategy.
-func (f Fixed) Schedule(d Digests) []time.Duration {
-	if f.HedgeDelay <= 0 {
-		return nil
-	}
-	return f.ScheduleInto(d, make([]time.Duration, d.Len()))
-}
-
-// ScheduleInto implements InlineScheduler.
+// ScheduleInto implements Strategy.
 func (f Fixed) ScheduleInto(d Digests, dst []time.Duration) []time.Duration {
 	if f.HedgeDelay <= 0 {
 		return nil
@@ -191,11 +156,8 @@ func (f FullReplicate) Fanout() (int, Selection) {
 	return k, f.Selection
 }
 
-// Schedule implements Strategy. The nil return is the "launch every
-// copy immediately" contract, not an omission.
-func (FullReplicate) Schedule(Digests) []time.Duration { return nil }
-
-// ScheduleInto implements InlineScheduler.
+// ScheduleInto implements Strategy. The nil return is the "launch
+// every copy immediately" contract, not an omission.
 func (FullReplicate) ScheduleInto(Digests, []time.Duration) []time.Duration { return nil }
 
 // String implements Strategy.
@@ -272,15 +234,7 @@ func (a AdaptiveHedge) Fanout() (int, Selection) {
 	return k, a.Selection
 }
 
-// Schedule implements Strategy.
-func (a AdaptiveHedge) Schedule(d Digests) []time.Duration {
-	if d.Len() <= 1 {
-		return nil
-	}
-	return a.ScheduleInto(d, make([]time.Duration, d.Len()))
-}
-
-// ScheduleInto implements InlineScheduler.
+// ScheduleInto implements Strategy.
 func (a AdaptiveHedge) ScheduleInto(d Digests, dst []time.Duration) []time.Duration {
 	k := d.Len()
 	if k <= 1 {

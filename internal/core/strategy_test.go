@@ -25,11 +25,11 @@ func TestFixedStrategyMatchesPolicy(t *testing.T) {
 	if k != 3 || sel != SelectRandom {
 		t.Errorf("Fanout = (%d, %v)", k, sel)
 	}
-	delays := f.Schedule(DigestList{nil, nil, nil})
+	delays := f.ScheduleInto(DigestList{nil, nil, nil}, make([]time.Duration, 3))
 	if len(delays) != 3 || delays[1] != 5*time.Millisecond {
-		t.Errorf("Schedule = %v", delays)
+		t.Errorf("ScheduleInto = %v", delays)
 	}
-	if noHedge := (Fixed{Copies: 2}).Schedule(DigestList{nil, nil}); noHedge != nil {
+	if noHedge := (Fixed{Copies: 2}).ScheduleInto(DigestList{nil, nil}, make([]time.Duration, 2)); noHedge != nil {
 		t.Errorf("zero-delay Fixed schedule = %v, want nil", noHedge)
 	}
 }
@@ -77,9 +77,9 @@ func TestAdaptiveHedgeScheduleFromDigests(t *testing.T) {
 	cold.Observe(time.Millisecond)
 
 	a := AdaptiveHedge{Copies: 3, Quantile: 0.9, MinSamples: 10, FallbackDelay: 7 * time.Millisecond}
-	delays := a.Schedule(DigestList{warm, cold, warm})
+	delays := a.ScheduleInto(DigestList{warm, cold, warm}, make([]time.Duration, 3))
 	if len(delays) != 3 {
-		t.Fatalf("Schedule length %d", len(delays))
+		t.Fatalf("ScheduleInto length %d", len(delays))
 	}
 	q90, _ := warm.Quantile(0.9)
 	if delays[0] != 0 {
@@ -94,7 +94,7 @@ func TestAdaptiveHedgeScheduleFromDigests(t *testing.T) {
 	}
 
 	// Single copy: no schedule at all.
-	if d := a.Schedule(DigestList{warm}); d != nil {
+	if d := a.ScheduleInto(DigestList{warm}, make([]time.Duration, 1)); d != nil {
 		t.Errorf("k=1 schedule = %v, want nil", d)
 	}
 }
@@ -184,15 +184,19 @@ func TestFullReplicateBudgetConsumed(t *testing.T) {
 }
 
 // oddSchedule exercises the schedule-normalization path: a strategy
-// returning the wrong number of delays.
+// that ignores dst and returns its own memory, possibly of the wrong
+// length. The engine must copy it into the caller-owned buffer so
+// quorum zeroing cannot mutate strategy state.
 type oddSchedule struct {
 	delays []time.Duration
 	copies int
 }
 
-func (o oddSchedule) Fanout() (int, Selection)         { return o.copies, SelectRoundRobin }
-func (o oddSchedule) Schedule(Digests) []time.Duration { return o.delays }
-func (o oddSchedule) String() string                   { return "odd-schedule" }
+func (o oddSchedule) Fanout() (int, Selection) { return o.copies, SelectRoundRobin }
+func (o oddSchedule) ScheduleInto(Digests, []time.Duration) []time.Duration {
+	return o.delays
+}
+func (o oddSchedule) String() string { return "odd-schedule" }
 
 func TestStrategyScheduleNormalized(t *testing.T) {
 	never := coretest.NewGate()
@@ -255,36 +259,25 @@ func TestNormalizeInto(t *testing.T) {
 	}
 }
 
-// foreignSchedule is an InlineScheduler that violates the "fill dst"
-// convention and returns its own memory; the dispatcher must copy the
-// schedule into the caller-owned buffer so quorum zeroing cannot mutate
-// strategy state.
-type foreignSchedule struct{ delays []time.Duration }
-
-func (f foreignSchedule) Fanout() (int, Selection)                              { return len(f.delays), SelectRoundRobin }
-func (f foreignSchedule) Schedule(Digests) []time.Duration                      { return f.delays }
-func (f foreignSchedule) String() string                                        { return "foreign" }
-func (f foreignSchedule) ScheduleInto(Digests, []time.Duration) []time.Duration { return f.delays }
-
 func TestStrategyScheduleInto(t *testing.T) {
 	ms := time.Millisecond
 	d := DigestList{nil, nil, nil}
 
-	// InlineScheduler filling dst: returned as-is, backed by buf.
+	// A strategy filling dst: returned as-is, backed by buf.
 	buf := make([]time.Duration, 3)
 	got := strategyScheduleInto(Fixed{Copies: 3, HedgeDelay: ms}, d, buf)
 	if len(got) != 3 || &got[0] != &buf[0] || got[2] != ms {
 		t.Errorf("Fixed.ScheduleInto -> %v (buf-backed: %v)", got, len(got) > 0 && &got[0] == &buf[0])
 	}
 
-	// InlineScheduler returning nil: launch-all.
+	// A strategy returning nil: launch-all.
 	if got := strategyScheduleInto(FullReplicate{}, d, buf); got != nil {
 		t.Errorf("FullReplicate -> %v", got)
 	}
 
-	// InlineScheduler returning foreign memory: copied into buf, so the
+	// A strategy returning foreign memory: copied into buf, so the
 	// caller may zero entries without corrupting the strategy.
-	foreign := foreignSchedule{delays: []time.Duration{ms, 2 * ms, 3 * ms}}
+	foreign := oddSchedule{delays: []time.Duration{ms, 2 * ms, 3 * ms}, copies: 3}
 	got = strategyScheduleInto(foreign, d, buf)
 	if len(got) != 3 || &got[0] != &buf[0] {
 		t.Fatalf("foreign schedule not rehomed into buf: %v", got)
@@ -294,19 +287,18 @@ func TestStrategyScheduleInto(t *testing.T) {
 		t.Error("zeroing the returned schedule mutated strategy-owned memory")
 	}
 
-	// Legacy Strategy without ScheduleInto: Schedule result normalized
-	// into buf (padded with the last entry).
-	legacy := oddSchedule{delays: []time.Duration{0, 2 * ms}, copies: 3}
-	got = strategyScheduleInto(legacy, d, buf)
+	// A short foreign schedule is normalized into buf (padded with the
+	// last entry).
+	short := oddSchedule{delays: []time.Duration{0, 2 * ms}, copies: 3}
+	got = strategyScheduleInto(short, d, buf)
 	if len(got) != 3 || &got[0] != &buf[0] || got[2] != 2*ms {
-		t.Errorf("legacy schedule -> %v", got)
+		t.Errorf("short schedule -> %v", got)
 	}
 
-	// Legacy Strategy returning an empty non-nil schedule: nil, not an
-	// all-zero schedule.
+	// An empty non-nil schedule: nil, not an all-zero schedule.
 	empty := oddSchedule{delays: []time.Duration{}, copies: 3}
 	if got := strategyScheduleInto(empty, d, buf); got != nil {
-		t.Errorf("legacy empty schedule -> %v", got)
+		t.Errorf("empty schedule -> %v", got)
 	}
 }
 

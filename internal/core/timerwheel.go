@@ -171,18 +171,23 @@ func (w *TimerWheel) AfterFunc(d time.Duration, f func(c any, i int64), c any, i
 	// Round up, then one more: "at or after the deadline" must survive
 	// the in-progress tick.
 	delta := int64((d + w.tick - 1) / w.tick)
+	// w.now is the last tick the loop processed, which trails the wall
+	// clock whenever the loop is between wake-ups or descheduled. Count
+	// the delta from the wall-clock tick, or the loop's catch-up fires
+	// the timer early by however far it lagged.
+	cur := int64(time.Since(w.start) / w.tick)
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return WheelTimer{}
 	}
-	if w.armed == 0 {
+	if w.armed == 0 && cur > w.now {
 		// The loop parks while nothing is armed, freezing w.now as wall
-		// time advances. Resync before arming, or the loop's catch-up to
-		// the present would burn through this timer's delta and fire it
-		// instantly. With zero timers armed, jumping w.now is safe: no
-		// slot holds a node placed relative to the stale origin.
-		w.now = int64(time.Since(w.start) / w.tick)
+		// time advances. Resync before arming, so the loop does not walk
+		// the idle stretch tick by tick. With zero timers armed, jumping
+		// w.now is safe: no slot holds a node placed relative to the
+		// stale origin.
+		w.now = cur
 	}
 	n := w.free
 	if n != nil {
@@ -193,7 +198,7 @@ func (w *TimerWheel) AfterFunc(d time.Duration, f func(c any, i int64), c any, i
 		n = &wheelNode{}
 	}
 	n.f, n.c, n.i = f, c, i
-	n.when = w.now + delta + 1
+	n.when = max(w.now, cur) + delta + 1
 	w.insert(n)
 	w.armed++
 	gen := n.gen

@@ -291,3 +291,37 @@ func TestWheelArmAfterIdleFiresOnTime(t *testing.T) {
 		t.Fatalf("timer fired after %v, want >= 80ms", el)
 	}
 }
+
+func TestWheelArmWhileLoopLagsFiresOnTime(t *testing.T) {
+	// Regression: with timers armed, the wheel's tick count trails the
+	// wall clock whenever the loop goroutine runs late. A timer armed in
+	// that window must still wait its full delay. A callback that holds
+	// the loop (deliberately breaking the must-not-block rule) stands in
+	// for a descheduled loop: the timer armed meanwhile used to be
+	// counted from the stale tick and fired on the loop's catch-up,
+	// tens of milliseconds before its deadline.
+	w := NewTimerWheel(time.Millisecond)
+	defer w.Close()
+	// Keep the wheel armed throughout, as a server with parked requests
+	// is; an idle wheel resyncs its tick count on arming.
+	w.AfterFunc(time.Minute, func(any, int64) {}, nil, 0)
+	holding := make(chan struct{})
+	w.AfterFunc(0, func(any, int64) {
+		close(holding)
+		time.Sleep(100 * time.Millisecond)
+	}, nil, 0)
+	<-holding
+	time.Sleep(50 * time.Millisecond)
+
+	fired := make(chan time.Time, 1)
+	start := time.Now()
+	w.AfterFunc(80*time.Millisecond, func(c any, _ int64) { c.(chan time.Time) <- time.Now() }, fired, 0)
+	select {
+	case at := <-fired:
+		if el := at.Sub(start); el < 80*time.Millisecond {
+			t.Fatalf("timer armed while the loop lagged fired after %v, want >= 80ms", el)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer never fired")
+	}
+}

@@ -1,13 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"redundancy/internal/core"
 	"redundancy/internal/dist"
@@ -18,9 +17,9 @@ import (
 // AblationShard reproduces the shape of the paper's §2.2 disk-backed
 // storage result (Figures 5 and 10) in the LIVE stack rather than the
 // cluster simulator: real memkv servers over TCP, a memkv.ShardedClient
-// partitioning keys across them on the production consistent-hash ring
-// (internal/ring), and redundant primary+secondary reads through the
-// core call engine.
+// over multiplexed v2 shard clients (memkv.MuxClient) partitioning keys
+// across them on the production consistent-hash ring (internal/ring),
+// and redundant primary+secondary reads through the core call engine.
 //
 // Each shard emulates a single FCFS disk-backed server with its Delay
 // hook: per request it draws a service time (cache-hit CPU or a
@@ -178,7 +177,7 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 		}
 		defer srv.Close()
 		servers[i] = srv
-		clients[i] = memkv.NewClient(addr.String(), 30*time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), 30*time.Second)
 	}
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{
 		Replication:  2,
@@ -193,7 +192,7 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 	const keys = 128
 	value := make([]byte, a.valueSize)
 	for i := 0; i < keys; i++ {
-		if err := sc.Set(ctx, fmt.Sprintf("file-%d", i), value); err != nil {
+		if _, err := sc.PutVersioned(ctx, fmt.Sprintf("file-%d", i), value, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 // ErrNotFound is returned by Get when the key is absent, and by Delete
@@ -28,7 +26,9 @@ const DefaultMaxIdleConns = 64
 
 // Client is a connection-pooled memcached text-protocol client for a
 // single server. It is safe for concurrent use; concurrent requests use
-// separate pooled connections.
+// separate pooled connections. It speaks only the unversioned v1
+// protocol, so it does not implement Backend and cannot join a
+// ShardedClient; MuxClient is the sharded stack's shard client.
 type Client struct {
 	addr    string
 	timeout time.Duration
@@ -314,151 +314,4 @@ func validateKey(key string) error {
 		return errors.New("memkv: key contains whitespace")
 	}
 	return nil
-}
-
-// ReplicatedClient reads from several replicas of the same data using the
-// redundancy core: Get issues the query to every replica (or hedges) and
-// returns the first response, or — per read, with ReadQuorum — waits for
-// R-of-N agreement. Writes go to all replicas and succeed only if every
-// replica stores the value (read-my-write for the winning read).
-type ReplicatedClient struct {
-	mu      sync.RWMutex // guards clients; the read group has its own engine
-	clients []*Client
-	// group passes the key to each replica as the call argument, so the
-	// replica functions close over only their client and stay reusable —
-	// no per-call context plumbing.
-	group *core.KeyedGroup[string, []byte]
-}
-
-// NewReplicatedClient builds a replicated reader over the given clients.
-// policy controls fan-out (e.g. Policy{Copies: 2} for the paper's full
-// replication, or HedgeDelay for tied requests).
-func NewReplicatedClient(policy core.Policy, clients ...*Client) *ReplicatedClient {
-	return NewReplicatedClientStrategy(policy.Strategy(), clients...)
-}
-
-// NewReplicatedClientStrategy builds a replicated reader whose fan-out
-// is governed by an arbitrary replication strategy (core.AdaptiveHedge,
-// core.FullReplicate, or a custom implementation).
-func NewReplicatedClientStrategy(strategy core.Strategy, clients ...*Client) *ReplicatedClient {
-	rc := &ReplicatedClient{clients: clients}
-	g := core.NewStrategyKeyedGroup[string, []byte](strategy)
-	for _, cl := range clients {
-		g.Add(cl.Addr(), cl.Get)
-	}
-	rc.group = g
-	return rc
-}
-
-// NewAdaptiveReplicatedClient builds a replicated reader that hedges a
-// second read when the primary exceeds the p-th percentile (quantile in
-// (0, 1); 0 means core.DefaultHedgeQuantile) of its observed latency
-// digest — production hedging that self-tunes as conditions drift,
-// instead of a caller-guessed fixed delay.
-func NewAdaptiveReplicatedClient(quantile float64, clients ...*Client) *ReplicatedClient {
-	return NewReplicatedClientStrategy(
-		core.AdaptiveHedge{Copies: 2, Quantile: quantile, Selection: core.SelectRanked},
-		clients...)
-}
-
-// ReadQuorum is the per-read consistency knob: a Get with ReadQuorum(q)
-// completes only after q replicas returned the key, so a read can insist
-// on R-of-N agreement (e.g. 2 of 3 to mask one stale or failed replica)
-// while the default read keeps first-response latency. Combine with
-// core.WithCollectOutcomes to inspect each replica's returned value.
-func ReadQuorum(q int) core.CallOption { return core.WithQuorum(q) }
-
-// Get returns the first replica's response for key. Per-call options
-// tune one read without touching the shared client: ReadQuorum(q) for
-// R-of-N consistency, core.WithStrategyOverride for a one-off hedging
-// policy, core.WithLabel to tag the read's traffic class.
-func (rc *ReplicatedClient) Get(ctx context.Context, key string, opts ...core.CallOption) ([]byte, error) {
-	if len(opts) == 0 {
-		// The common zero-option read rides the group's DoValue fast
-		// lane (pooled call frame, no option materialization).
-		return rc.group.DoValue(ctx, key)
-	}
-	res, err := rc.group.Do(ctx, key, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-// GetResult is Get with the full redundancy metadata (winner, latency,
-// copies launched).
-func (rc *ReplicatedClient) GetResult(ctx context.Context, key string, opts ...core.CallOption) (core.Result[[]byte], error) {
-	return rc.group.Do(ctx, key, opts...)
-}
-
-// GroupStats reports the replica set's policy, membership, and per-replica
-// latency estimates.
-func (rc *ReplicatedClient) GroupStats() core.GroupStats { return rc.group.Stats() }
-
-// AddReplica adds a server to the replica set. Reads in flight are
-// unaffected; subsequent reads may select it, and subsequent writes
-// include it. The write set and the read group mutate under one lock so
-// they can never diverge (a replica served reads but missed writes).
-func (rc *ReplicatedClient) AddReplica(cl *Client) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.clients = append(rc.clients, cl)
-	rc.group.Add(cl.Addr(), cl.Get)
-}
-
-// RemoveReplica drops the replica serving addr from reads and writes,
-// reporting whether it was present. It does not close the client; the
-// caller owns its lifecycle (reads in flight may still be using it).
-func (rc *ReplicatedClient) RemoveReplica(addr string) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for i, cl := range rc.clients {
-		if cl.Addr() == addr {
-			rc.clients = append(rc.clients[:i:i], rc.clients[i+1:]...)
-			rc.group.Remove(addr)
-			return true
-		}
-	}
-	return false
-}
-
-// SetPolicy replaces the read fan-out policy.
-func (rc *ReplicatedClient) SetPolicy(policy core.Policy) { rc.group.SetPolicy(policy) }
-
-// SetStrategy replaces the read fan-out strategy.
-func (rc *ReplicatedClient) SetStrategy(s core.Strategy) { rc.group.SetStrategy(s) }
-
-// Set writes to every replica concurrently, waiting for all writes and
-// returning the joined errors of any that failed.
-func (rc *ReplicatedClient) Set(ctx context.Context, key string, value []byte) error {
-	rc.mu.RLock()
-	clients := rc.clients
-	rc.mu.RUnlock()
-	errs := make([]error, len(clients))
-	var wg sync.WaitGroup
-	for i, cl := range clients {
-		wg.Add(1)
-		go func(i int, cl *Client) {
-			defer wg.Done()
-			if err := cl.Set(ctx, key, value); err != nil {
-				errs[i] = fmt.Errorf("replica %s: %w", cl.Addr(), err)
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Close closes all underlying clients.
-func (rc *ReplicatedClient) Close() error {
-	rc.mu.RLock()
-	clients := rc.clients
-	rc.mu.RUnlock()
-	var err error
-	for _, cl := range clients {
-		if e := cl.Close(); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
 }

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 // startServer launches a server on a loopback port and returns its address
@@ -324,57 +322,6 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 }
 
-func TestReplicatedClientFirstWins(t *testing.T) {
-	// Server A is slow; B is fast.
-	_, addrA := startServerDelay(t, func() time.Duration { return 300 * time.Millisecond })
-	_, addrB := startServer(t)
-
-	clA := NewClient(addrA, 2*time.Second)
-	clB := NewClient(addrB, 2*time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2, Selection: core.SelectRandom}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if time.Since(start) > 250*time.Millisecond {
-		t.Errorf("replicated read waited for the slow server: %v", time.Since(start))
-	}
-	if res.Launched != 2 {
-		t.Errorf("Launched = %d", res.Launched)
-	}
-}
-
-func TestReplicatedClientSurvivesDeadReplica(t *testing.T) {
-	srvA, addrA := startServer(t)
-	_, addrB := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2, Selection: core.SelectRandom}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	srvA.Close() // kill one replica
-	v, err := rc.Get(ctx, "k")
-	if err != nil {
-		t.Fatalf("replicated read failed with one dead replica: %v", err)
-	}
-	if string(v) != "v" {
-		t.Errorf("value %q", v)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	_, addr := startServer(t)
 	cl := NewClient(addr, time.Second)
@@ -431,138 +378,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if stats["curr_items"] != 2 {
 		t.Errorf("curr_items = %d", stats["curr_items"])
-	}
-}
-
-func TestAdaptiveReplicatedClient(t *testing.T) {
-	// A fast and a deliberately slow replica. Cold digests mean the first
-	// read fans out fully; once warm, the hedge waits for the primary's
-	// observed p95 and the stats snapshot is self-describing.
-	_, fastAddr := startServer(t)
-	_, slowAddr := startServerDelay(t, func() time.Duration { return 200 * time.Millisecond })
-	clFast := NewClient(fastAddr, 2*time.Second)
-	clSlow := NewClient(slowAddr, 2*time.Second)
-	rc := NewAdaptiveReplicatedClient(0.95, clFast, clSlow)
-	defer rc.Close()
-	ctx := context.Background()
-
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if res.Launched != 2 {
-		t.Errorf("cold adaptive read launched %d copies, want 2 (immediate fallback)", res.Launched)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := rc.Get(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := rc.GroupStats()
-	if !strings.Contains(s.Strategy, "adaptive-hedge") || !strings.Contains(s.Strategy, "p95") {
-		t.Errorf("GroupStats.Strategy = %q", s.Strategy)
-	}
-	warm := false
-	for _, r := range s.Replicas {
-		if r.Observations >= 16 && r.P95 > 0 && r.P50 <= r.P95 {
-			warm = true
-		}
-	}
-	if !warm {
-		t.Errorf("no replica digest warmed past MinSamples: %+v", s.Replicas)
-	}
-
-	// Strategies swap through the snapshot without disturbing reads.
-	rc.SetStrategy(core.FullReplicate{Selection: core.SelectRandom})
-	res, err = rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Errorf("full replication launched %d copies", res.Launched)
-	}
-	if got := rc.GroupStats().Strategy; !strings.Contains(got, "full-replicate") {
-		t.Errorf("after SetStrategy: %q", got)
-	}
-}
-
-func TestReplicatedClientReadQuorum(t *testing.T) {
-	// Three replicas; a quorum-2 read succeeds with one dead replica and
-	// carries per-replica outcomes, while two dead replicas make the
-	// quorum unreachable with named failure detail.
-	srvA, addrA := startServer(t)
-	srvB, addrB := startServer(t)
-	_, addrC := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	clC := NewClient(addrC, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 3}, clA, clB, clC)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	var outs []core.Outcome[[]byte]
-	res, err := rc.GetResult(ctx, "k", ReadQuorum(2), core.WithCollectOutcomes(&outs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	wins := 0
-	for _, o := range outs {
-		if o.Err == nil {
-			wins++
-			if string(o.Value) != "v" {
-				t.Errorf("quorum outcome value %q", o.Value)
-			}
-		}
-	}
-	if wins != 2 {
-		t.Errorf("quorum read collected %d wins, want 2", wins)
-	}
-
-	srvA.Close() // one dead replica: 2-of-3 still reachable
-	if _, err := rc.Get(ctx, "k", ReadQuorum(2)); err != nil {
-		t.Fatalf("quorum read with one dead replica: %v", err)
-	}
-
-	srvB.Close() // two dead: 2-of-3 unreachable
-	_, err = rc.Get(ctx, "k", ReadQuorum(2))
-	if !errors.Is(err, core.ErrQuorumUnreachable) {
-		t.Fatalf("got %v, want ErrQuorumUnreachable", err)
-	}
-	var re core.ReplicaError
-	if !errors.As(err, &re) || re.Name == "" {
-		t.Errorf("quorum failure lacks named replica detail: %v", err)
-	}
-}
-
-func TestReplicatedClientPerReadLabelAndCap(t *testing.T) {
-	_, addrA := startServer(t)
-	_, addrB := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rc.GetResult(ctx, "k", core.WithFanoutCap(1), core.WithLabel("prefetch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 1 {
-		t.Errorf("capped read launched %d copies, want 1", res.Launched)
 	}
 }
 
@@ -642,53 +457,4 @@ func TestClientStopsReadingOnCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled Get still blocked after 5s")
 	}
-}
-
-func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
-	// End-to-end copy cancellation: a fast and a stalled replica, full
-	// fan-out. The fast replica wins, the loser is cancelled in flight,
-	// the client abandons its read, and the stalled server aborts the
-	// delayed request — capacity reclaimed at every layer.
-	_, fastAddr := startServer(t)
-	slowSrv, slowAddr := startServerDelay(t, func() time.Duration { return time.Minute })
-	clFast := NewClient(fastAddr, 10*time.Minute)
-	clSlow := NewClient(slowAddr, 10*time.Minute)
-	rc := NewReplicatedClient(core.Policy{Copies: 2}, clFast, clSlow)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := clFast.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if res.Launched != 2 || res.Cancelled != 1 {
-		t.Errorf("Launched/Cancelled = %d/%d, want 2/1", res.Launched, res.Cancelled)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("read took %v; the stalled replica was waited out", el)
-	}
-	// The stalled server saw its client vanish and abandoned the request.
-	if got := waitCounter(t, slowSrv.aborted.Load, 1); got < 1 {
-		t.Errorf("slow server aborted_ops = %d, want >= 1", got)
-	}
-	// The group's stats record the reclaimed copy against the replica.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		cancelled := int64(0)
-		for _, r := range rc.GroupStats().Replicas {
-			cancelled += r.Cancelled
-		}
-		if cancelled >= 1 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Errorf("no replica recorded a cancelled copy: %+v", rc.GroupStats().Replicas)
 }

@@ -48,9 +48,10 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     request.) The redundancy engine cancelling a losing copy
 //     therefore no longer costs a reconnect.
 //
-// A MuxClient is safe for concurrent use and implements the same
-// Get/Set/SetTTL/Delete surface as Client, so it satisfies Backend and
-// plugs into ShardedClient and ReplicatedClient construction unchanged.
+// A MuxClient is safe for concurrent use. It keeps Client's
+// Get/Set/SetTTL/Delete surface and adds the versioned operations, CAS
+// and watches, so it satisfies Backend and is the shard client of
+// ShardedClient.
 type MuxClient struct {
 	addr    string
 	timeout time.Duration
@@ -195,10 +196,14 @@ func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
 	}
 	cn, err := m.dial(ctx, i)
 	if err != nil {
-		// The synchronous dial failed: the server is unreachable, not
-		// just this connection. Hand the stripe to the backoff redialer
-		// so the client heals itself without a caller-driven dial storm.
-		m.startRedialLocked(i, err)
+		// The synchronous dial failed: unless the caller gave up (a
+		// cancelled losing copy says nothing about the server), the
+		// server is unreachable, not just this connection. Hand the
+		// stripe to the backoff redialer so the client heals itself
+		// without a caller-driven dial storm.
+		if ctx.Err() == nil {
+			m.startRedialLocked(i, err)
+		}
 		return nil, err
 	}
 	m.conns[i].Store(cn)
@@ -727,7 +732,7 @@ func (m *MuxClient) PutBatch(ctx context.Context, keys []string, vals [][]byte) 
 // last-writer-wins puts carrying explicit versions, version-observing
 // gets, and the cursor-paged scan that anti-entropy streams over. The
 // v1 Client deliberately does not grow these — versioned traffic is a
-// v2-only surface, which is what VersionedBackend gates on.
+// v2-only surface, which is why only MuxClient satisfies Backend.
 
 // GetV fetches the value, version, and remaining TTL (whole seconds,
 // 0 = never expires) stored under key. A missing key is ErrNotFound;

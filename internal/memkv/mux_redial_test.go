@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -191,5 +192,38 @@ func TestMuxFailsFastWhileServerDown(t *testing.T) {
 			t.Fatal("client never reconnected to the restarted server")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// cancelledMidDial is a context that is already done but reports
+// itself live on its first Err check, so a request passes the client's
+// up-front cancellation check and is cancelled during its dial.
+type cancelledMidDial struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelledMidDial) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestMuxCancelledDialKeepsStripeUsable: a request cancelled while its
+// stripe is being dialed — a redundant read's losing copy on a cold
+// client — says nothing about the server, so the stripe must not enter
+// fail-fast redial mode; the very next request dials and succeeds.
+func TestMuxCancelledDialKeepsStripeUsable(t *testing.T) {
+	_, addr := startServer(t)
+	cl := NewMuxClient(addr, 5*time.Second, WithMuxConns(1))
+	defer cl.Close()
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cl.Get(&cancelledMidDial{Context: done}, "k"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("get cancelled mid-dial = %v, want context.Canceled", err)
+	}
+	if err := cl.Set(context.Background(), "k", []byte("v")); err != nil {
+		t.Fatalf("set after a cancelled dial: %v", err)
 	}
 }

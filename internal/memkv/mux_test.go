@@ -335,8 +335,8 @@ func TestMuxConcurrentStorm(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedClientWithMuxBackends: the sharded store accepts v2
-// backends and batches reads/writes through the ring.
+// TestShardedClientWithMuxBackends: the sharded store routes versioned
+// writes over v2 backends and batches reads through the ring.
 func TestShardedClientWithMuxBackends(t *testing.T) {
 	backends := make([]Backend, 3)
 	for i := range backends {
@@ -353,11 +353,7 @@ func TestShardedClientWithMuxBackends(t *testing.T) {
 		keys[i] = fmt.Sprintf("mk%d", i)
 		vals[i] = []byte(fmt.Sprintf("mv%d", i))
 	}
-	perr, err := sc.PutBatch(ctx, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range perr {
+	for i, e := range putAll(ctx, sc, keys, vals) {
 		if e != nil {
 			t.Fatalf("put %d: %v", i, e)
 		}

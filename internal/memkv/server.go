@@ -25,6 +25,7 @@ package memkv
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -229,9 +230,13 @@ func ttlEventSecs(ttl time.Duration) uint32 {
 // PutVersion applies a replicated write carrying an explicit version: the
 // value is stored only if version is strictly newer than the stored
 // version (or the key is absent) — last-writer-wins, so replaying a hint
-// or pushing a repair can never clobber data a replica learned later. It
-// returns the version now current for the key and whether this write
-// applied. The store's index is advanced past version either way.
+// or pushing a repair can never clobber data a replica learned later.
+// Two writers that minted the same version are ordered by value, the
+// bytewise-greater one winning, so every replica keeps the same value
+// whatever order the copies arrive in; replaying an identical write is a
+// no-op. It returns the version now current for the key and whether
+// this write applied. The store's index is advanced past version either
+// way.
 func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool) {
 	s.witness(version)
 	var exp time.Time
@@ -244,7 +249,7 @@ func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Dura
 	if ok && !cur.expiresAt.IsZero() && time.Now().After(cur.expiresAt) {
 		ok = false
 	}
-	if ok && cur.version >= version {
+	if ok && (cur.version > version || cur.version == version && bytes.Compare(cur.data, value) >= 0) {
 		sh.mu.Unlock()
 		return cur.version, false
 	}

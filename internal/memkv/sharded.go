@@ -3,7 +3,6 @@ package memkv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,22 +21,27 @@ import (
 //   - Get issues the read redundantly within the key's placement under
 //     the configured ReadStrategy (default: race primary + secondary,
 //     first response wins — the paper's scheme) and takes per-call
-//     options like ReplicatedClient.Get.
-//   - Set writes the key to every placement shard and returns once
-//     WriteQuorum of them acked, via the call engine's WithQuorum; with
+//     options (ReadQuorum, core.WithFanoutCap, core.WithLabel, ...).
+//   - Every write carries a client-minted version (PutVersioned, CAS;
+//     see sharded_versioned.go). It returns once WriteQuorum placement
+//     copies acked; the remaining copies keep running in the background,
+//     and each copy that fails is reported to the repair sink. With
 //     WriteQuorum < Replication a put survives Replication-WriteQuorum
 //     shards being down.
 //
-// Consistency is the demo-grade kind the paper's storage service had:
-// copies beyond the write quorum are cancelled rather than retried, and
-// AddShard/RemoveShard rebalance *placement* only — data written under
-// an old topology is not migrated. A production system would add hinted
-// handoff and read repair on top of exactly this routing layer.
+// Replicas converge by last-writer-wins on those versions. With a
+// repair sink installed (repair.Manager), missed copies are replayed as
+// hints, stale copies seen by quorum reads are read-repaired, and
+// AddShard/RemoveShard migrate remapped keys in the background. Without
+// one, a missed copy stays missing until the key is written again.
+//
+// A ShardedClient whose Replication equals its shard count stores every
+// key on every shard: the fully replicated read group of the paper's
+// memcached experiment.
 type ShardedClient struct {
 	mu          sync.Mutex // guards clients; the rings have their own engines
 	clients     map[string]Backend
 	reads       *ring.Ring[string, []byte]
-	writes      *ring.Ring[setReq, struct{}]
 	replication int
 	writeQuorum int
 
@@ -45,32 +49,42 @@ type ShardedClient struct {
 	// mirrors reads' topology but returns value+version and treats a
 	// missing key as a successful read of version 0, so quorum reads
 	// succeed over partial misses and the miss becomes repairable
-	// divergence. clock is the client's Lamport version clock; sink, when
-	// set, receives repair work (missed writes, divergence, topology
-	// changes).
+	// divergence. It is also the placement of record for writes. clock
+	// is the client's Lamport version clock; sink, when set, receives
+	// repair work (missed writes, divergence, topology changes).
 	readsV *ring.Ring[string, verVal]
 	clock  atomic.Uint64
 	sink   atomic.Pointer[sinkBox]
 }
 
-// Backend is the single-shard client surface ShardedClient routes over.
-// Both the v1 pooled Client and the v2 multiplexed MuxClient implement
-// it, so a sharded store mixes transports freely (and migrates from v1
-// to v2 one shard at a time).
+// Backend is the one shard interface ShardedClient and the repair
+// subsystem route over: plain and versioned reads, versioned writes,
+// the anti-entropy scan, delete (for draining migrated keys), CAS, and
+// prefix watches. MuxClient implements it. The v1 text-protocol Client
+// does not, which keeps it out of the sharded stack.
 type Backend interface {
 	Addr() string
-	Get(ctx context.Context, key string) ([]byte, error)
-	SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error
 	Close() error
+	Get(ctx context.Context, key string) ([]byte, error)
+	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
+	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
+	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
+	Scan(ctx context.Context, after string, limit int) (entries []ScanEntry, more bool, err error)
+	Delete(ctx context.Context, key string) error
+	CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool, err error)
+	Watch(ctx context.Context, prefix string, buf int) (*WatchStream, error)
 }
 
-// setReq is the write ring's call argument: it routes by key and carries
-// the value to store.
-type setReq struct {
-	key   string
-	value []byte
-	ttl   time.Duration
-}
+// Former names of Backend, from when versioned operations, CAS and
+// watches were optional shard capabilities.
+type (
+	// Deprecated: use Backend; every shard is versioned now.
+	VersionedBackend = Backend
+	// Deprecated: use Backend, which includes CAS.
+	CASBackend = Backend
+	// Deprecated: use Backend, which includes Watch.
+	WatchableBackend = Backend
+)
 
 // ShardedConfig configures a ShardedClient. The zero value means:
 // 2 placement copies per key, writes ack on every copy, reads race
@@ -80,11 +94,11 @@ type ShardedConfig struct {
 	// (primary + Replication-1 successors). Values below 1 mean
 	// ring.DefaultReplication (2).
 	Replication int
-	// WriteQuorum is how many placement shards must ack a Set before it
-	// returns; the remaining copies are cancelled. Values below 1 mean
-	// Replication (write-all). A quorum is always clamped to the shards
-	// that exist, so a bootstrapping single-shard ring still accepts
-	// writes.
+	// WriteQuorum is how many placement shards must ack a write before
+	// it returns; the remaining copies finish in the background. Values
+	// below 1 mean Replication (write-all). A quorum is always clamped to
+	// the shards that exist, so a bootstrapping single-shard ring still
+	// accepts writes.
 	WriteQuorum int
 	// ReadStrategy decides the redundancy of a Get within the key's
 	// placement: nil means core.Fixed{Copies: 2} (the paper's
@@ -95,8 +109,8 @@ type ShardedConfig struct {
 	// VirtualNodes is the ring points per shard (0 means
 	// ring.DefaultVirtualNodes).
 	VirtualNodes int
-	// Observer, when set, receives per-operation metrics from every
-	// ring (reads, writes, versioned quorum reads) — the observation
+	// Observer, when set, receives per-operation metrics from both rings
+	// (first-wins reads and versioned quorum reads) — the observation
 	// hook a feedback controller needs to watch per-class latency
 	// digests and copies launched. core.Counters is the ready-made
 	// implementation; tag calls with core.WithLabel to split classes.
@@ -104,8 +118,8 @@ type ShardedConfig struct {
 }
 
 // NewShardedClient builds a sharded store over the given single-shard
-// clients (v1 Client, v2 MuxClient, or any Backend). Shards are named
-// by their client's Addr.
+// clients (MuxClient, or any Backend). Shards are named by their
+// client's Addr.
 func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	if cfg.Replication < 1 {
 		cfg.Replication = ring.DefaultReplication
@@ -132,9 +146,6 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 		ropts = append(ropts, ring.WithObserver(cfg.Observer))
 	}
 	sc.reads = ring.New[string, []byte](cfg.ReadStrategy, ropts...)
-	// Writes always fan out to the whole placement; WithQuorum decides
-	// how many acks complete the call.
-	sc.writes = ring.NewKeyed[setReq, struct{}](core.FullReplicate{}, func(w setReq) string { return w.key }, ropts...)
 	// Versioned quorum reads query the whole placement too: divergence is
 	// only observable on the copies actually read.
 	sc.readsV = ring.New[string, verVal](core.FullReplicate{}, ropts...)
@@ -160,31 +171,19 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 	prev := sc.readsV.Placement()
 	sc.clients[addr] = cl
 	sc.reads.Add(addr, cl.Get)
-	sc.writes.Add(addr, func(ctx context.Context, w setReq) (struct{}, error) {
-		return struct{}{}, cl.SetTTL(ctx, w.key, w.value, w.ttl)
+	sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
+		val, ver, ttl, err := cl.GetV(ctx, key)
+		if errors.Is(err, ErrNotFound) {
+			// A miss is a successful read of version 0: the quorum holds
+			// over partial misses and the gap becomes repairable
+			// divergence rather than an error.
+			return verVal{}, nil
+		}
+		if err != nil {
+			return verVal{}, err
+		}
+		return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
 	})
-	if vb, ok := cl.(VersionedBackend); ok {
-		sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
-			val, ver, ttl, err := vb.GetV(ctx, key)
-			if errors.Is(err, ErrNotFound) {
-				// A miss is a successful read of version 0: the quorum
-				// holds over partial misses and the gap becomes repairable
-				// divergence rather than an error.
-				return verVal{}, nil
-			}
-			if err != nil {
-				return verVal{}, err
-			}
-			return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
-		})
-	} else {
-		// A v1 shard can't serve versioned reads: quorum reads that place
-		// on it fail with a recognizable error instead of silently losing
-		// version information.
-		sc.readsV.Add(addr, func(context.Context, string) (verVal, error) {
-			return verVal{}, fmt.Errorf("%s: %w", addr, errShardNotVersioned)
-		})
-	}
 	cur := sc.readsV.Placement()
 	sink := sc.repairSink()
 	sc.mu.Unlock()
@@ -207,7 +206,6 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 	prev := sc.readsV.Placement()
 	delete(sc.clients, addr)
 	sc.reads.Remove(addr)
-	sc.writes.Remove(addr)
 	sc.readsV.Remove(addr)
 	cur := sc.readsV.Placement()
 	sink := sc.repairSink()
@@ -217,6 +215,14 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 	}
 	return true
 }
+
+// ReadQuorum is the per-read consistency knob for Get: a read with
+// ReadQuorum(q) completes only after q placement copies returned the
+// key, so it can insist on R-of-N agreement (e.g. 2 of 3 to mask one
+// failed replica) while the default read keeps first-response latency.
+// Combine with core.WithCollectOutcomes to inspect each copy's value;
+// GetQuorum is the version-aware form that also picks the newest copy.
+func ReadQuorum(q int) core.CallOption { return core.WithQuorum(q) }
 
 // Get returns the first placement shard's response for key, read
 // redundantly under the client's ReadStrategy. Per-call options tune one
@@ -244,41 +250,6 @@ func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core
 	return sc.reads.Do(ctx, key, opts...)
 }
 
-// Set stores value under key on every shard of the key's placement,
-// returning once the write quorum has acked. With fewer live shards than
-// the quorum the error matches core.ErrQuorumUnreachable and carries
-// per-shard detail.
-func (sc *ShardedClient) Set(ctx context.Context, key string, value []byte) error {
-	return sc.SetTTL(ctx, key, value, 0)
-}
-
-// SetTTL is Set with an expiry (rounded up to whole seconds; 0 = never).
-func (sc *ShardedClient) SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error {
-	for {
-		q := sc.writeQuorum
-		n := sc.writes.Len()
-		if n == 0 {
-			return core.ErrNoReplicas
-		}
-		if n < q {
-			// Fewer shards than the quorum: every existing placement copy
-			// must ack instead.
-			q = n
-		}
-		_, err := sc.writes.Do(ctx, setReq{key: key, value: value, ttl: ttl}, core.WithQuorum(q))
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, core.ErrQuorumUnreachable) && sc.writes.Len() < q {
-			// A concurrent RemoveShard shrank the ring between the clamp
-			// and the call; re-clamp against the new topology. q strictly
-			// decreases, so this terminates.
-			continue
-		}
-		return fmt.Errorf("memkv: sharded set %q: %w", key, err)
-	}
-}
-
 // GetBatch reads many keys in one batched engine pass: keys are grouped
 // by shard placement (ring.DoBatch), each group runs as one
 // core.DoBatchPicked — one schedule, shared-wheel hedge deadlines — and
@@ -289,38 +260,6 @@ func (sc *ShardedClient) SetTTL(ctx context.Context, key string, value []byte, t
 // for how batch cancellation semantics differ from per-key Get calls.
 func (sc *ShardedClient) GetBatch(ctx context.Context, keys []string, opts ...core.CallOption) ([]core.BatchResult[[]byte], error) {
 	return sc.reads.DoBatch(ctx, keys, opts...)
-}
-
-// PutBatch writes many key/value pairs, each to its full placement with
-// the client's write quorum, batched per shard group like GetBatch.
-// errs[i] is pair i's outcome; the returned slice is nil if err is
-// non-nil. len(vals) must equal len(keys).
-func (sc *ShardedClient) PutBatch(ctx context.Context, keys []string, vals [][]byte, opts ...core.CallOption) ([]error, error) {
-	if len(keys) != len(vals) {
-		return nil, errors.New("memkv: PutBatch keys/vals length mismatch")
-	}
-	q := sc.writeQuorum
-	if n := sc.writes.Len(); n == 0 {
-		return nil, core.ErrNoReplicas
-	} else if n < q {
-		q = n
-	}
-	reqs := make([]setReq, len(keys))
-	for i := range keys {
-		reqs[i] = setReq{key: keys[i], value: vals[i]}
-	}
-	callOpts := make([]core.CallOption, 0, len(opts)+1)
-	callOpts = append(callOpts, core.WithQuorum(q))
-	callOpts = append(callOpts, opts...)
-	res, err := sc.writes.DoBatch(ctx, reqs, callOpts...)
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]error, len(res))
-	for i := range res {
-		errs[i] = res[i].Err
-	}
-	return errs, nil
 }
 
 // Owners returns the shard addresses key is placed on, primary first.

@@ -14,7 +14,7 @@ import (
 // placement copy answers. This is the paper's redundancy claim applied
 // to the batch path.
 func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
-	sc, servers := startMuxShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, servers := startShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	const n = 80
 	keys := make([]string, n)
@@ -23,11 +23,7 @@ func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
 		keys[i] = fmt.Sprintf("dbk-%d", i)
 		vals[i] = []byte(fmt.Sprintf("dbv-%d", i))
 	}
-	perr, err := sc.PutBatch(ctx, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range perr {
+	for i, e := range putAll(ctx, sc, keys, vals) {
 		if e != nil {
 			t.Fatalf("put %d: %v", i, e)
 		}
@@ -55,11 +51,11 @@ func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
 }
 
 // TestShardedPutBatchDeadShardPartialErrors: with replication 1 there
-// is no second copy, so a dead shard's keys fail per-key while the rest
-// of the batch still lands — a shard failure must not poison the whole
-// batch call.
+// is no second copy, so in a batch of concurrent versioned puts a dead
+// shard's keys fail per key while the rest of the batch still lands — a
+// shard failure must not poison writes to the other shards.
 func TestShardedPutBatchDeadShardPartialErrors(t *testing.T) {
-	sc, servers := startMuxShards(t, 3, ShardedConfig{Replication: 1, WriteQuorum: 1})
+	sc, servers := startShards(t, 3, ShardedConfig{Replication: 1, WriteQuorum: 1})
 	ctx := context.Background()
 	var dead string
 	for addr := range servers {
@@ -76,12 +72,8 @@ func TestShardedPutBatchDeadShardPartialErrors(t *testing.T) {
 		keys[i] = fmt.Sprintf("pbk-%d", i)
 		vals[i] = []byte("x")
 	}
-	perr, err := sc.PutBatch(ctx, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
 	okCount, failCount := 0, 0
-	for i, e := range perr {
+	for i, e := range putAll(ctx, sc, keys, vals) {
 		owner := sc.Owners(keys[i])[0]
 		if owner == dead {
 			if e == nil {
@@ -101,11 +93,11 @@ func TestShardedPutBatchDeadShardPartialErrors(t *testing.T) {
 }
 
 // TestShardedBatchesDuringRemoveShard: RemoveShard races a stream of
-// batch puts and gets. Individual operations may fail while the route
+// concurrent put batches and batched gets. Individual operations may fail while the route
 // swaps, but nothing may panic or wedge — and once the topology is
 // stable, a full write+read batch cycle must succeed.
 func TestShardedBatchesDuringRemoveShard(t *testing.T) {
-	sc, _ := startMuxShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, _ := startShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 	const n = 40
 	keys := make([]string, n)
@@ -127,12 +119,9 @@ func TestShardedBatchesDuringRemoveShard(t *testing.T) {
 			default:
 			}
 			// Outcomes are allowed to be per-key errors mid-swap; the
-			// invariant under test is no panic, no wedge, no global error
-			// other than topology-is-changing.
-			if _, err := sc.PutBatch(ctx, keys, vals); err != nil {
-				t.Errorf("PutBatch global error during RemoveShard: %v", err)
-				return
-			}
+			// invariant under test is no panic, no wedge, and no global
+			// GetBatch error.
+			putAll(ctx, sc, keys, vals)
 			if _, err := sc.GetBatch(ctx, keys); err != nil {
 				t.Errorf("GetBatch global error during RemoveShard: %v", err)
 				return
@@ -153,11 +142,7 @@ func TestShardedBatchesDuringRemoveShard(t *testing.T) {
 	}
 
 	// Stable topology: a full cycle must be clean.
-	perr, err := sc.PutBatch(ctx, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range perr {
+	for i, e := range putAll(ctx, sc, keys, vals) {
 		if e != nil {
 			t.Fatalf("post-remove put %d: %v", i, e)
 		}

@@ -25,11 +25,11 @@ func (sc *ShardedClient) ScanMerged(ctx context.Context, after string, limit int
 	more := false
 	merged := make(map[string]ScanEntry)
 	for _, addr := range sc.ShardAddrs() {
-		vb := sc.VersionedShard(addr)
-		if vb == nil {
-			return nil, false, fmt.Errorf("%s: %w", addr, errShardNotVersioned)
+		b := sc.VersionedShard(addr)
+		if b == nil {
+			return nil, false, fmt.Errorf("%s: %w", addr, errShardGone)
 		}
-		entries, shardMore, err := vb.Scan(ctx, after, limit)
+		entries, shardMore, err := b.Scan(ctx, after, limit)
 		if err != nil {
 			return nil, false, fmt.Errorf("memkv: scan %s: %w", addr, err)
 		}

@@ -15,15 +15,17 @@ import (
 //
 //   - A Lamport version clock seeded by the wall clock, so versions
 //     minted by independent ShardedClients stay comparable and
-//     last-writer-wins resolves sanely across writers (ties and skew
-//     bounded by clock skew; deletes carry no tombstones — a concurrent
-//     delete can be resurrected by repair, the documented limitation).
-//   - PutVersioned, a quorum write that — unlike SetTTL, whose engine
-//     cancels losing copies the moment the quorum is met — lets every
-//     placement copy run to completion in the background and reports
-//     each copy that ultimately failed to the repair sink as a missed
-//     write (the hinted-handoff trigger). Durability is exactly the
-//     reason the core engine's cancel-at-quorum is wrong here.
+//     last-writer-wins resolves sanely across writers (skew bounded by
+//     clock skew, and the store breaks a version tie by value; deletes
+//     carry no tombstones — a concurrent delete can be resurrected by
+//     repair, the documented limitation).
+//   - PutVersioned, the write path: a quorum write that — unlike a
+//     redundant read, whose engine cancels losing copies the moment it
+//     has an answer — lets every placement copy run to completion in the
+//     background and reports each copy that ultimately failed to the
+//     repair sink as a missed write (the hinted-handoff trigger).
+//     Durability is exactly the reason the core engine's
+//     cancel-at-quorum is wrong here.
 //   - GetQuorum, a version-observing quorum read: it returns the newest
 //     value among the copies read and reports stale copies (older
 //     version, or missing entirely) to the sink for asynchronous read
@@ -32,20 +34,6 @@ import (
 // The sink (see RepairSink) is the seam to internal/repair: memkv knows
 // nothing about hint queues, backoff, or the governor — it only reports
 // what it observed.
-
-// VersionedBackend is the v2-only shard surface the convergence layer
-// needs: version-carrying reads and writes, the anti-entropy scan, and
-// delete (for draining migrated keys). MuxClient implements it; the v1
-// text-protocol Client does not, which is what keeps versioned traffic
-// off v1 shards.
-type VersionedBackend interface {
-	Backend
-	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
-	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
-	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
-	Scan(ctx context.Context, after string, limit int) (entries []ScanEntry, more bool, err error)
-	Delete(ctx context.Context, key string) error
-}
 
 // RepairSink receives the convergence work a ShardedClient observes but
 // does not perform itself: missed quorum-write copies (hinted handoff),
@@ -70,9 +58,9 @@ type RepairSink interface {
 // in one directly).
 type sinkBox struct{ s RepairSink }
 
-// errShardNotVersioned reports a versioned operation routed to a shard
-// whose backend lacks the v2 surface.
-var errShardNotVersioned = errors.New("memkv: shard does not support versioned operations")
+// errShardGone reports an operation routed to a shard that left the
+// ring between placement and dispatch.
+var errShardGone = errors.New("memkv: shard not in ring")
 
 // verVal is the versioned read ring's result: a value, its version, and
 // its remaining TTL. Version 0 means the key was absent on that copy.
@@ -137,12 +125,12 @@ const versionedStragglerTimeout = 5 * time.Second
 // PutVersioned writes value under key with a freshly minted version and
 // returns that version once WriteQuorum placement copies acked.
 //
-// Unlike SetTTL, copies beyond the quorum are NOT cancelled: every
-// placement copy runs to completion (bounded by
-// versionedStragglerTimeout, detached from the caller's context), and
-// each copy that ultimately fails is reported to the repair sink as a
-// missed write — the hinted-handoff path. With fewer acks than the
-// quorum possible, the error matches core.ErrQuorumUnreachable.
+// Copies beyond the quorum are NOT cancelled: every placement copy runs
+// to completion (bounded by versionedStragglerTimeout, detached from the
+// caller's context), and each copy that ultimately fails is reported to
+// the repair sink as a missed write — the hinted-handoff path. With
+// fewer acks than the quorum possible, the error matches
+// core.ErrQuorumUnreachable.
 func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []byte, ttl time.Duration) (uint64, error) {
 	if err := validateKey(key); err != nil {
 		return 0, err
@@ -165,19 +153,15 @@ func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []b
 	if len(owners) == 0 {
 		return core.ErrNoReplicas
 	}
-	q := sc.writeQuorum
-	if q > len(owners) {
-		q = len(owners)
-	}
-	return sc.replicateVersion(ctx, key, value, ttl, version, owners, q)
+	return sc.replicateVersion(ctx, key, value, ttl, version, owners, sc.writeQuorum)
 }
 
 // replicateVersion pushes an already-versioned value to owners and
-// returns once q of them acked (q <= 0 returns immediately — used by
-// CAS, whose primary ack already satisfied a quorum of 1). Every copy
-// runs to completion detached from the caller (bounded by
-// versionedStragglerTimeout); each copy that ultimately fails becomes a
-// WriteMissed hint. This is the shared durability tail of PutVersioned,
+// returns once q of them acked, q clamped to len(owners) (q <= 0
+// returns immediately — CAS passes its quorum minus the primary ack it
+// already has). Every copy runs to completion detached from the caller
+// (bounded by versionedStragglerTimeout); each copy that ultimately
+// fails becomes a WriteMissed hint. This is the shared durability tail of PutVersioned,
 // PutVersionAt, and CAS.
 func (sc *ShardedClient) replicateVersion(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64, owners []string, q int) error {
 	if len(owners) == 0 {
@@ -194,7 +178,12 @@ func (sc *ShardedClient) replicateVersion(ctx context.Context, key string, value
 			// bounds the goroutine; a copy it kills becomes a hint.
 			wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
 			defer cancel()
-			err := sc.putOneVersioned(wctx, addr, key, value, ttl, version)
+			var err error
+			if b := sc.VersionedShard(addr); b != nil {
+				_, _, err = b.PutV(wctx, key, value, ttl, version)
+			} else {
+				err = fmt.Errorf("%s: %w", addr, errShardGone)
+			}
 			if err != nil {
 				if sink := sc.repairSink(); sink != nil {
 					sink.WriteMissed(key, value, version, ttl, addr)
@@ -224,15 +213,6 @@ func (sc *ShardedClient) replicateVersion(ctx context.Context, key string, value
 		return nil
 	}
 	return fmt.Errorf("memkv: versioned set %q (%d/%d acked): %w: %w", key, acks, q, core.ErrQuorumUnreachable, firstErr)
-}
-
-func (sc *ShardedClient) putOneVersioned(ctx context.Context, addr, key string, value []byte, ttl time.Duration, version uint64) error {
-	vb := sc.VersionedShard(addr)
-	if vb == nil {
-		return fmt.Errorf("%s: %w", addr, errShardNotVersioned)
-	}
-	_, _, err := vb.PutV(ctx, key, value, ttl, version)
-	return err
 }
 
 // GetQuorum reads key from q placement copies (q < 1 means the client's
@@ -292,15 +272,12 @@ func (sc *ShardedClient) GetQuorum(ctx context.Context, key string, q int) ([]by
 	return best.val, best.ver, nil
 }
 
-// VersionedShard returns the shard at addr if it supports versioned
-// operations, nil otherwise (unknown addr or v1 backend).
-func (sc *ShardedClient) VersionedShard(addr string) VersionedBackend {
+// VersionedShard returns the shard at addr, or nil if no shard has that
+// address.
+func (sc *ShardedClient) VersionedShard(addr string) Backend {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if vb, ok := sc.clients[addr].(VersionedBackend); ok {
-		return vb
-	}
-	return nil
+	return sc.clients[addr]
 }
 
 // ShardAddrs returns the current shard addresses in registration order.

@@ -38,9 +38,13 @@ func TestStorePutVersionLWW(t *testing.T) {
 	if cur, applied := s.PutVersion("k", 0, []byte("old"), 0, 50); applied || cur != 100 {
 		t.Fatalf("stale put: applied=%v cur=%d, want refused at 100", applied, cur)
 	}
-	// Equal version is not strictly newer: refused (idempotent replay).
+	// Equal version with an identical or bytewise-smaller value: refused
+	// (idempotent replay, and the smaller side of a version tie).
+	if _, applied := s.PutVersion("k", 0, []byte("new"), 0, 100); applied {
+		t.Fatal("identical replay applied; want refused")
+	}
 	if _, applied := s.PutVersion("k", 0, []byte("dup"), 0, 100); applied {
-		t.Fatal("equal-version put applied; want refused")
+		t.Fatal("equal-version put of a smaller value applied; want refused")
 	}
 	if cur, applied := s.PutVersion("k", 0, []byte("newest"), 0, 101); !applied || cur != 101 {
 		t.Fatalf("newer put: applied=%v cur=%d", applied, cur)
@@ -48,6 +52,20 @@ func TestStorePutVersionLWW(t *testing.T) {
 	v, _, ok := s.Get("k")
 	if !ok || string(v) != "newest" {
 		t.Fatalf("Get = %q, %v", v, ok)
+	}
+}
+
+// Two writers that minted the same version for different values: every
+// replica keeps the bytewise-greater value, whichever copy arrives first.
+func TestStorePutVersionTieBreak(t *testing.T) {
+	for _, order := range [][]string{{"alpha", "beta"}, {"beta", "alpha"}} {
+		s := NewStore()
+		for _, v := range order {
+			s.PutVersion("k", 0, []byte(v), 0, 100)
+		}
+		if v, _, ver, _, _ := s.GetVersion("k"); string(v) != "beta" || ver != 100 {
+			t.Errorf("arrival order %v: store holds (%q, %d), want (\"beta\", 100)", order, v, ver)
+		}
 	}
 }
 
@@ -223,21 +241,6 @@ func TestMuxPutVBatchAndScan(t *testing.T) {
 
 // ---- ShardedClient versioned quorum surface ----
 
-// startMuxShards launches n live servers with v2 mux backends.
-func startMuxShards(t *testing.T, n int, cfg ShardedConfig) (*ShardedClient, map[string]*Server) {
-	t.Helper()
-	servers := make(map[string]*Server, n)
-	clients := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		srv, addr := startServer(t)
-		servers[addr] = srv
-		clients[i] = NewMuxClient(addr, 2*time.Second)
-	}
-	sc := NewShardedClient(cfg, clients...)
-	t.Cleanup(func() { sc.Close() })
-	return sc, servers
-}
-
 // recordingSink captures RepairSink callbacks for assertions.
 type recordingSink struct {
 	mu       sync.Mutex
@@ -267,7 +270,7 @@ func (r *recordingSink) TopologyChanged(_, _ ring.Placement) {
 }
 
 func TestShardedPutVersionedGetQuorum(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	ver, err := sc.PutVersioned(ctx, "qk", []byte("quorum"), 0)
 	if err != nil || ver == 0 {
@@ -299,7 +302,7 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 }
 
 func TestGetQuorumReportsDivergence(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	sink := &recordingSink{}
 	sc.SetRepairSink(sink)
@@ -329,7 +332,7 @@ func TestGetQuorumReportsDivergence(t *testing.T) {
 }
 
 func TestPutVersionedReportsMissedWrites(t *testing.T) {
-	sc, servers := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, servers := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 	sink := &recordingSink{}
 	sc.SetRepairSink(sink)

@@ -130,7 +130,7 @@ type Policy = core.Policy
 // Strategy decides, per operation, how a Group replicates: fan-out,
 // replica selection, and launch schedule. Built-in implementations are
 // Fixed, AdaptiveHedge, and FullReplicate; custom implementations can
-// consult the per-replica latency digests passed to Schedule.
+// consult the per-replica latency digests passed to ScheduleInto.
 type Strategy = core.Strategy
 
 // Fixed is the static strategy: fixed fan-out, optional fixed hedge
@@ -167,7 +167,7 @@ type GovernorStats = core.GovernorStats
 const DefaultGovernorThreshold = core.DefaultGovernorThreshold
 
 // Digests is the read-only view of selected replicas' latency digests a
-// Strategy's Schedule receives.
+// Strategy's ScheduleInto receives.
 type Digests = core.Digests
 
 // DigestList adapts a slice of digests to Digests, for testing custom
@@ -472,7 +472,7 @@ const RepairHintKeyPrefix = repair.HintKeyPrefix
 // per-class windowed latency digests and hill-climbs fan-out, hedge
 // quantile, and read quorum toward the cheapest operating point whose
 // p99 meets a declared target within an extra-load budget. It is itself
-// a Strategy (and inline scheduler), so it drops in anywhere one goes.
+// a Strategy, so it drops in anywhere one goes.
 
 // SLOController adapts per-class operating points toward their targets.
 // Plug it in as a Strategy (it speaks for its default class) and call
